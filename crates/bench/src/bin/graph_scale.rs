@@ -14,11 +14,13 @@
 //! scaling exponent; the CSR path must stay sub-quadratic (ci.sh enforces
 //! exponent < 1.5 on the committed artifact, where the dense path is ≥ 2).
 //!
-//! Because `D2_THREADS` / `D2_SPARSE_THRESHOLD` are read once per process,
-//! the dense↔sparse equivalence matrix re-runs this binary as child
-//! processes (`D2_GS_CHILD_OUT` names the output file): one forecast per
-//! (threads ∈ {1,2,8}) × (threshold ∈ {dense, sparse}) cell, all six byte
-//! files compared for exact equality.
+//! Because `D2_THREADS` is read once per process, the equivalence matrix
+//! re-runs this binary as child processes (`D2_GS_CHILD_OUT` names the
+//! output file, `--ctor` the model constructor): one forecast per
+//! (threads ∈ {1,2,8}) × (constructor ∈ {`D2stgnn::new` over the dense
+//! `TrafficNetwork`, `D2stgnn::new_sparse` over
+//! `SparseNetwork::from_network`}) cell, all six byte files compared for
+//! exact equality.
 //!
 //! Writes `target/experiments/BENCH_graph_scale.json` (schema
 //! `d2stgnn-bench-v1`). `--fast` shrinks sizes for the CI smoke.
@@ -29,6 +31,7 @@ use std::time::Instant;
 use d2stgnn_bench::write_bench_artifact;
 use d2stgnn_core::{D2stgnn, D2stgnnConfig, TrafficModel};
 use d2stgnn_data::{simulate, simulate_city, Batch, CityConfig, SimulatorConfig, StandardScaler};
+use d2stgnn_graph::SparseNetwork;
 use d2stgnn_tensor::losses::masked_mae_loss;
 use d2stgnn_tensor::nn::Module;
 use d2stgnn_tensor::optim::{clip_grad_norm, Adam, Optimizer};
@@ -40,6 +43,11 @@ use serde::Serialize;
 /// Child-mode trigger: when set, write the equivalence forecast bytes to the
 /// named file and exit.
 const CHILD_OUT_ENV: &str = "D2_GS_CHILD_OUT";
+
+/// Model constructors the equivalence matrix covers (the child's `--ctor`
+/// argument): `D2stgnn::new` over the dense network, and
+/// `D2stgnn::new_sparse` over the same adjacency wrapped sparsely.
+const CONSTRUCTORS: [&str; 2] = ["new", "new_sparse"];
 
 /// Input/forecast window length used throughout.
 const TH: usize = 12;
@@ -73,9 +81,9 @@ struct Equivalence {
     nodes: usize,
     /// `D2_THREADS` values covered.
     thread_set: Vec<usize>,
-    /// `D2_SPARSE_THRESHOLD` values covered (2.0 forces dense, 0.0 sparse).
-    thresholds: Vec<String>,
-    /// Child runs executed (threads × thresholds).
+    /// Model constructors covered (see [`CONSTRUCTORS`]).
+    constructors: Vec<String>,
+    /// Child runs executed (threads × constructors).
     runs: usize,
     /// All forecasts byte-identical across every cell.
     identical: bool,
@@ -222,10 +230,10 @@ fn log_log_slope(points: &[(f64, f64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
-/// Child entry point: build the small equivalence model under this
-/// process's inherited `D2_THREADS` / `D2_SPARSE_THRESHOLD` environment,
-/// forecast two windows, and write the raw f32 bytes.
-fn run_child(out_path: &str) {
+/// Child entry point: build the small equivalence model with constructor
+/// `ctor` under this process's inherited `D2_THREADS`, forecast two
+/// windows, and write the raw f32 bytes.
+fn run_child(out_path: &str, ctor: &str) {
     let mut sim = SimulatorConfig::tiny();
     sim.num_nodes = 32;
     sim.knn = 4;
@@ -237,9 +245,16 @@ fn run_child(out_path: &str) {
     cfg.emb_dim = 8;
     cfg.layers = 2;
     let mut rng = StdRng::seed_from_u64(5);
-    // `D2stgnn::new` → `GraphContext::new` picks dense or CSR transitions
-    // from D2_SPARSE_THRESHOLD; both contexts hold identical values.
-    let model = D2stgnn::new(cfg, &data.network, &mut rng);
+    // Both constructors route the static transitions through CSR; `new`
+    // derives them from the dense adjacency, `new_sparse` from the CSR copy
+    // of it, and the values must agree to the bit.
+    let model = match ctor {
+        "new" => D2stgnn::new(cfg, &data.network, &mut rng),
+        "new_sparse" => {
+            D2stgnn::new_sparse(cfg, &SparseNetwork::from_network(&data.network), &mut rng)
+        }
+        other => panic!("unknown --ctor {other:?}; expected one of {CONSTRUCTORS:?}"),
+    };
     let batch = make_batch(&data.values, &scaler, sim.steps_per_day, &[0, 7]);
     let out = no_grad(|| model.forward(&batch, false, &mut rng));
     let mut bytes = Vec::with_capacity(out.value().data().len() * 4);
@@ -248,48 +263,42 @@ fn run_child(out_path: &str) {
     }
     std::fs::write(out_path, bytes).expect("child write");
     eprintln!(
-        "[graph_scale]   child threads={} threshold={} done",
-        pool::threads(),
-        std::env::var("D2_SPARSE_THRESHOLD").unwrap_or_default()
+        "[graph_scale]   child threads={} ctor={ctor} done",
+        pool::threads()
     );
 }
 
 /// Spawn this binary back as an equivalence child and return its forecast
 /// bytes.
-fn spawn_child(tag: &str, threads: usize, threshold: &str) -> Vec<u8> {
+fn spawn_child(tag: &str, threads: usize, ctor: &str) -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!("d2-gs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("child dir");
     let out = dir.join(format!("{tag}.bin"));
     let mut cmd = Command::new(std::env::current_exe().expect("current exe"));
-    cmd.env(CHILD_OUT_ENV, &out)
-        .env("D2_THREADS", threads.to_string())
-        .env("D2_SPARSE_THRESHOLD", threshold)
-        .env_remove("D2_FAST_MATH");
-    eprintln!("[graph_scale] child {tag}: threads={threads} threshold={threshold}...");
+    cmd.arg(format!("--ctor={ctor}"))
+        .env(CHILD_OUT_ENV, &out)
+        .env("D2_THREADS", threads.to_string());
+    eprintln!("[graph_scale] child {tag}: threads={threads} ctor={ctor}...");
     let status = cmd.status().expect("spawn child");
     assert!(status.success(), "bench child `{tag}` failed");
     std::fs::read(&out).expect("child output")
 }
 
-/// Run the 6-cell dense↔sparse × thread-count matrix and byte-compare all
+/// Run the 6-cell constructor × thread-count matrix and byte-compare all
 /// forecasts.
 fn run_equivalence() -> Equivalence {
     let thread_set = vec![1usize, 2, 8];
-    // 2.0: sparsity can never reach it → dense tensors. 0.0: any sparsity
-    // qualifies → CSR path.
-    let thresholds = vec!["2.0".to_string(), "0.0".to_string()];
     let mut outputs: Vec<Vec<u8>> = Vec::new();
     for &t in &thread_set {
-        for th in &thresholds {
-            let kind = if th == "2.0" { "dense" } else { "sparse" };
-            outputs.push(spawn_child(&format!("{kind}-t{t}"), t, th));
+        for ctor in CONSTRUCTORS {
+            outputs.push(spawn_child(&format!("{ctor}-t{t}"), t, ctor));
         }
     }
     let identical = !outputs[0].is_empty() && outputs.iter().all(|o| *o == outputs[0]);
     Equivalence {
         nodes: 32,
         thread_set,
-        thresholds,
+        constructors: CONSTRUCTORS.iter().map(|c| c.to_string()).collect(),
         runs: outputs.len(),
         identical,
     }
@@ -303,7 +312,10 @@ fn main() {
     }
     let fast = std::env::args().any(|a| a == "--fast");
     if let Ok(out_path) = std::env::var(CHILD_OUT_ENV) {
-        run_child(&out_path);
+        let ctor = std::env::args()
+            .find_map(|a| a.strip_prefix("--ctor=").map(str::to_string))
+            .unwrap_or_default();
+        run_child(&out_path, &ctor);
         return;
     }
 
@@ -318,7 +330,7 @@ fn main() {
     let equivalence = run_equivalence();
     assert!(
         equivalence.identical,
-        "sparse-path forecasts are NOT bit-identical to dense across the thread matrix"
+        "forecasts are NOT bit-identical across the constructor x thread matrix"
     );
 
     let mut rows = Vec::new();

@@ -3,21 +3,22 @@
 //! (Eqs. 13–14).
 
 use crate::embeddings::SharedEmbeddings;
-use d2stgnn_graph::{transition, CsrMatrix, SparseNetwork, TrafficNetwork};
+use d2stgnn_graph::{transition, SparseNetwork, TrafficNetwork};
 use d2stgnn_tensor::nn::{Linear, Mlp, Module};
-use d2stgnn_tensor::{Array, Tensor};
+use d2stgnn_tensor::{Array, SparseMatrix, Tensor};
 use rand::Rng;
-use std::sync::OnceLock;
 
 /// The transition matrices handed to the diffusion block for one forward
-/// pass. Static matrices are `[N, N]` (dense tensors or CSR, chosen by the
-/// sparsity dispatch rule); dynamic ones carry a batch axis `[B, N, N]`
-/// (one graph per window, static *within* the window as the paper assumes)
-/// and are always dense — they are batch-varying products of a softmax
-/// attention mask, dense by construction, and gradients must flow through
-/// them.
+/// pass. The model routes static road-network transitions through CSR
+/// ([`Transitions::Sparse`]) at every graph size; dynamic ones carry a batch
+/// axis `[B, N, N]` (one graph per window, static *within* the window as
+/// the paper assumes) and are always dense — they are batch-varying
+/// products of a softmax attention mask, dense by construction, and
+/// gradients must flow through them.
 pub enum Transitions {
-    /// Road-network transitions shared by every sample.
+    /// Road-network transitions as dense `[N, N]` tensors. The model never
+    /// builds this variant: it is the dense reference the sparse path is
+    /// checked against bit-for-bit.
     Static {
         /// Forward transition `P_f`.
         p_f: Tensor,
@@ -25,12 +26,13 @@ pub enum Transitions {
         p_b: Tensor,
     },
     /// Road-network transitions shared by every sample, stored sparsely:
-    /// the city-scale hot path (constant matrices, no gradients needed).
+    /// the one static diffusion path (constant matrices, no gradients
+    /// needed), O(nnz) per step instead of O(N²).
     Sparse {
         /// Forward transition `P_f` as CSR.
-        p_f: CsrMatrix,
+        p_f: SparseMatrix,
         /// Backward transition `P_b` as CSR.
-        p_b: CsrMatrix,
+        p_b: SparseMatrix,
     },
     /// Learned per-window transitions `P^{dy}` (Eq. 14).
     Dynamic {
@@ -41,7 +43,8 @@ pub enum Transitions {
     },
 }
 
-/// Dense precomputed constants (paper-scale graphs).
+/// Dense precomputed constants, needed only by the dynamic graph learner
+/// and the adaptive matrix.
 struct DenseContext {
     /// `P_f` as a constant tensor `[N, N]`.
     p_f: Tensor,
@@ -51,74 +54,52 @@ struct DenseContext {
     diag_mask: Tensor,
 }
 
-/// `D2_SPARSE_THRESHOLD`: minimum transition-matrix sparsity (fraction of
-/// zero entries) at which [`GraphContext::new`] switches the static
-/// diffusion path to CSR. Read once per process like the other `D2_*`
-/// switches; values above 1.0 force the dense path, 0 forces sparse.
-fn sparse_threshold() -> f32 {
-    static THRESHOLD: OnceLock<f32> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("D2_SPARSE_THRESHOLD")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.9)
-    })
-}
-
 /// Precomputed constants derived from the road network.
 ///
-/// Holds the static transition matrices in one or both representations:
-/// dense tensors (always present for paper-scale [`TrafficNetwork`]s — the
-/// dynamic graph learner and the adaptive matrix need them) and CSR copies
-/// of the *same values* when the matrices are sparse enough that the
-/// diffusion block should take the pooled spmm path. City-scale contexts
-/// built with [`GraphContext::from_sparse`] are sparse-only and never
-/// materialize an `[N, N]` tensor.
+/// Always holds the static transitions as CSR — the representation the
+/// diffusion block runs on at every graph size. Contexts built from a
+/// [`TrafficNetwork`] additionally keep dense `[N, N]` copies of the *same
+/// values* plus the diagonal mask, which only the dynamic graph learner and
+/// the adaptive matrix consume. City-scale contexts built with
+/// [`GraphContext::from_sparse`] are sparse-only and never materialize an
+/// `[N, N]` tensor.
 pub struct GraphContext {
     dense: Option<DenseContext>,
-    sparse: Option<(CsrMatrix, CsrMatrix)>,
+    sparse: (SparseMatrix, SparseMatrix),
     n: usize,
 }
 
 impl GraphContext {
-    /// Build from a traffic network. The CSR representation is attached
-    /// automatically when both transition matrices' sparsity reaches the
-    /// `D2_SPARSE_THRESHOLD` env var (default 0.9).
+    /// Build from a traffic network: CSR transitions for the diffusion
+    /// block plus the dense copies the dynamic graph learner needs.
     pub fn new(network: &TrafficNetwork) -> Self {
-        Self::with_threshold(network, sparse_threshold())
-    }
-
-    /// [`GraphContext::new`] with an explicit sparsity threshold (tests and
-    /// benches force either path with 0.0 / above-1.0).
-    pub fn with_threshold(network: &TrafficNetwork, threshold: f32) -> Self {
         let adj = network.adjacency();
         let n = network.num_nodes();
         let mut mask = Array::ones(&[n, n]);
-        for i in 0..n {
-            mask.data_mut()[i * n + i] = 0.0;
+        // Diagonal entries sit every `n + 1` elements of the row-major data.
+        for v in mask.data_mut().iter_mut().step_by(n + 1) {
+            *v = 0.0;
         }
         let p_f = transition::forward_transition(&adj);
         let p_b = transition::backward_transition(&adj);
-        // CSR copies hold the *exact same values* as the dense tensors, so
-        // either path produces bit-identical diffusion results; see
+        // The CSR copies hold the *exact same values* as the dense tensors,
+        // so either path produces bit-identical diffusion results; see
         // `d2stgnn_tensor::sparse` for the zero-skip argument.
         let c_f = crate::error::require(
-            CsrMatrix::from_dense(&p_f, 0.0),
+            SparseMatrix::from_dense(&p_f, 0.0),
             "row-normalized transitions are finite",
         );
         let c_b = crate::error::require(
-            CsrMatrix::from_dense(&p_b, 0.0),
+            SparseMatrix::from_dense(&p_b, 0.0),
             "row-normalized transitions are finite",
         );
-        let sparse =
-            (c_f.sparsity() >= threshold && c_b.sparsity() >= threshold).then_some((c_f, c_b));
         Self {
             dense: Some(DenseContext {
                 p_f: Tensor::constant(p_f),
                 p_b: Tensor::constant(p_b),
                 diag_mask: Tensor::constant(mask),
             }),
-            sparse,
+            sparse: (c_f, c_b),
             n,
         }
     }
@@ -131,7 +112,7 @@ impl GraphContext {
     pub fn from_sparse(network: &SparseNetwork) -> Self {
         Self {
             dense: None,
-            sparse: Some((network.forward_transition(), network.backward_transition())),
+            sparse: (network.forward_transition(), network.backward_transition()),
             n: network.num_nodes(),
         }
     }
@@ -166,11 +147,19 @@ impl GraphContext {
         }
     }
 
-    /// The CSR transitions `(P_f, P_b)` when the sparse diffusion path is
-    /// active (city-scale context, or dense matrices past the sparsity
-    /// threshold).
-    pub fn sparse_transitions(&self) -> Option<(&CsrMatrix, &CsrMatrix)> {
-        self.sparse.as_ref().map(|(f, b)| (f, b))
+    /// The CSR transitions `(P_f, P_b)`.
+    ///
+    /// Always `Some`: every context carries CSR transitions, and static
+    /// diffusion runs on them at every graph size. The `Option` is kept so
+    /// callers written when the CSR copy was conditional still compile.
+    pub fn sparse_transitions(&self) -> Option<(&SparseMatrix, &SparseMatrix)> {
+        Some(self.csr_transitions())
+    }
+
+    /// The CSR transitions `(P_f, P_b)` the model diffuses through.
+    pub(crate) fn csr_transitions(&self) -> (&SparseMatrix, &SparseMatrix) {
+        let (f, b) = &self.sparse;
+        (f, b)
     }
 
     /// Number of nodes.
@@ -363,17 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_threshold_selects_representation() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let net = TrafficNetwork::random_geometric(8, 3, 0.05, &mut rng);
-        // Above 1.0: dense-only, the sparse path can never activate.
-        let dense_only = GraphContext::with_threshold(&net, 2.0);
-        assert!(dense_only.sparse_transitions().is_none());
-        // At 0.0: the CSR copies exist and hold the dense values bit-for-bit.
-        let both = GraphContext::with_threshold(&net, 0.0);
-        let (c_f, c_b) = both.sparse_transitions().expect("sparse copies");
-        assert_eq!(c_f.to_dense().data(), both.p_f().value().data());
-        assert_eq!(c_b.to_dense().data(), both.p_b().value().data());
+    fn dense_context_carries_bit_identical_csr_transitions() {
+        // Even a small, fairly dense graph gets the CSR copies, and they
+        // hold the dense values bit-for-bit.
+        let (ctx, _, _) = setup();
+        let (c_f, c_b) = ctx.sparse_transitions().expect("always present");
+        assert_eq!(c_f.to_dense().data(), ctx.p_f().value().data());
+        assert_eq!(c_b.to_dense().data(), ctx.p_b().value().data());
     }
 
     #[test]

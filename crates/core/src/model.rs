@@ -152,19 +152,15 @@ impl D2stgnn {
                 let (p_f, p_b) = dg.forward(&self.ctx, &self.embeddings, &x0, &tod_last, &dow_last);
                 Transitions::Dynamic { p_f, p_b }
             }
-            // The CSR representation, when present, is the hot path: same
-            // values as the dense tensors, O(nnz) instead of O(N²) per
-            // diffusion step.
-            None => match self.ctx.sparse_transitions() {
-                Some((p_f, p_b)) => Transitions::Sparse {
+            // Static graphs always diffuse through CSR: O(nnz) instead of
+            // O(N²) per step, bit-identical to the dense reference.
+            None => {
+                let (p_f, p_b) = self.ctx.csr_transitions();
+                Transitions::Sparse {
                     p_f: p_f.clone(),
                     p_b: p_b.clone(),
-                },
-                None => Transitions::Static {
-                    p_f: self.ctx.p_f().clone(),
-                    p_b: self.ctx.p_b().clone(),
-                },
-            },
+                }
+            }
         };
 
         // Algorithm 1 lines 5-12: stacked decoupled layers.
@@ -369,35 +365,34 @@ mod tests {
     }
 
     #[test]
-    fn sparse_context_forecasts_match_dense_bitwise() {
-        // Same seed, same data, same weights — one model forced onto the
-        // dense transition path, one onto the CSR path. Forecasts must be
-        // bit-identical: the sparse kernels only skip zero terms.
+    fn dense_and_sparse_network_forecasts_match_bitwise() {
+        // Same seed, same data, same weights — one model built from the
+        // dense `TrafficNetwork`, one from its CSR wrapping. Forecasts must
+        // be bit-identical: both derive the same transition values, and the
+        // sparse kernels only skip zero terms.
         let mut sim = SimulatorConfig::tiny();
-        sim.num_nodes = 8;
-        sim.knn = 3;
+        sim.num_nodes = 32;
+        sim.knn = 4;
         let data = simulate(&sim);
         let windowed = WindowedDataset::new(data, 12, 12, (0.7, 0.1, 0.2));
         let net = windowed.data().network.clone();
-        let mut cfg = D2stgnnConfig::small(8);
+        let mut cfg = D2stgnnConfig::small(32);
         cfg.use_dynamic_graph = false;
         cfg.use_adaptive = false;
 
         let mut rng_a = StdRng::seed_from_u64(0);
-        let dense = D2stgnn::with_context(
-            cfg.clone(),
-            GraphContext::with_threshold(&net, 2.0),
-            &mut rng_a,
-        );
+        let dense = D2stgnn::new(cfg.clone(), &net, &mut rng_a);
         let mut rng_b = StdRng::seed_from_u64(0);
-        let sparse =
-            D2stgnn::with_context(cfg, GraphContext::with_threshold(&net, 0.0), &mut rng_b);
-        assert!(dense.ctx.sparse_transitions().is_none());
-        assert!(sparse.ctx.sparse_transitions().is_some());
+        let sparse = D2stgnn::new_sparse(
+            cfg,
+            &d2stgnn_graph::SparseNetwork::from_network(&net),
+            &mut rng_b,
+        );
 
         let batch = windowed.batch(Split::Train, &[0, 1]);
         let pa = dense.forward(&batch, false, &mut rng_a).value();
         let pb = sparse.forward(&batch, false, &mut rng_b).value();
+        assert_eq!(pa.data().len(), 2 * 12 * 32);
         for (a, b) in pa.data().iter().zip(pb.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }

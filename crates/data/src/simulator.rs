@@ -16,8 +16,8 @@
 //! the decoupling framework actually separates them, which no real dataset
 //! allows.
 
-use d2stgnn_graph::{transition, CsrMatrix, SparseNetwork, TrafficNetwork};
-use d2stgnn_tensor::Array;
+use d2stgnn_graph::{transition, SparseNetwork, TrafficNetwork};
+use d2stgnn_tensor::{Array, SparseMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -431,7 +431,7 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
     // `transition::masked_powers`: mask(P^k) for k = 1..=ks, where the
     // powers themselves are unmasked.
     let p_f = network.forward_transition();
-    let mut powers: Vec<CsrMatrix> = Vec::with_capacity(config.ks);
+    let mut powers: Vec<SparseMatrix> = Vec::with_capacity(config.ks);
     let mut unmasked = p_f.clone();
     for k in 1..=config.ks {
         if k > 1 {
@@ -516,7 +516,7 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
                 for (k_idx, p_k) in powers.iter().enumerate() {
                     let order_decay = 0.5f32.powi(k_idx as i32);
                     let prop = crate::error::require(
-                        p_k.matmul(&dev),
+                        p_k.try_matmul(&dev),
                         "transition and deviation shapes conform",
                     ); // [N, 1]
                     let scale = gamma_t * lag_decay * order_decay;

@@ -6,14 +6,15 @@
 //! alone, and the all-pairs neighbour search in
 //! [`crate::TrafficNetwork::random_geometric`] is O(n² log n).
 //! [`SparseNetwork`] never materializes a dense matrix — the adjacency is a
-//! [`CsrMatrix`] from birth, and [`SparseNetwork::random_city`] finds each
+//! [`SparseMatrix`] from birth, and [`SparseNetwork::random_city`] finds each
 //! node's nearest neighbours through a uniform spatial grid, so generation
 //! is O(n · degree) and a 100k-node network fits in a few megabytes.
 
 use rand::Rng;
 
+use d2stgnn_tensor::SparseMatrix;
+
 use crate::error::GraphError;
-use crate::sparse::CsrMatrix;
 use crate::TrafficNetwork;
 
 /// A directed, weighted road network stored sparsely: nodes are sensors,
@@ -24,7 +25,7 @@ use crate::TrafficNetwork;
 pub struct SparseNetwork {
     n: usize,
     /// CSR adjacency, row i = edges out of sensor i. Diagonal is zero.
-    adjacency: CsrMatrix,
+    adjacency: SparseMatrix,
     /// Sensor coordinates (used by the simulator and visualizations).
     coords: Vec<(f32, f32)>,
 }
@@ -139,7 +140,7 @@ impl SparseNetwork {
             }
         }
         let adjacency = crate::error::require(
-            CsrMatrix::from_triplets(n, n, &triplets),
+            SparseMatrix::from_triplets(n, n, &triplets),
             "kernel weights are finite by construction",
         );
         Self {
@@ -154,7 +155,7 @@ impl SparseNetwork {
     /// which the equivalence tests rely on).
     pub fn from_network(network: &TrafficNetwork) -> Self {
         let adjacency = crate::error::require(
-            CsrMatrix::from_dense(&network.adjacency(), 0.0),
+            SparseMatrix::from_dense(&network.adjacency(), 0.0),
             "TrafficNetwork adjacency is finite by construction",
         );
         Self {
@@ -175,7 +176,7 @@ impl SparseNetwork {
     }
 
     /// The CSR adjacency.
-    pub fn adjacency(&self) -> &CsrMatrix {
+    pub fn adjacency(&self) -> &SparseMatrix {
         &self.adjacency
     }
 
@@ -190,34 +191,37 @@ impl SparseNetwork {
     /// values as the dense path on the same adjacency: both accumulate each
     /// row's weights in column-ascending order, and skipping the dense
     /// zeros cannot change a finite sum.
-    pub fn forward_transition(&self) -> CsrMatrix {
+    pub fn forward_transition(&self) -> SparseMatrix {
         self.adjacency.row_normalize()
     }
 
     /// Backward transition matrix `P_b = D_I⁻¹ Aᵀ`, sparse counterpart of
     /// [`crate::transition::backward_transition`].
-    pub fn backward_transition(&self) -> CsrMatrix {
+    pub fn backward_transition(&self) -> SparseMatrix {
         self.adjacency.transpose().row_normalize()
     }
 
     /// `true` if every node has at least one in- or out-edge.
     pub fn has_no_isolated_nodes(&self) -> bool {
         let mut touched = vec![false; self.n];
-        let row_ptr = self.adjacency.as_sparse().row_ptr();
+        let row_ptr = self.adjacency.row_ptr();
         for r in 0..self.n {
             if row_ptr[r + 1] > row_ptr[r] {
                 touched[r] = true;
             }
         }
-        for &c in self.adjacency.as_sparse().col_idx() {
+        for &c in self.adjacency.col_idx() {
             touched[c] = true;
         }
         touched.iter().all(|&t| t)
     }
 
-    /// Build from a CSR adjacency directly (weights must be finite and
-    /// non-negative, diagonal zero).
-    pub fn from_csr(adjacency: CsrMatrix, coords: Vec<(f32, f32)>) -> Result<Self, GraphError> {
+    /// Build from a CSR adjacency directly. Weights must be non-negative
+    /// (finite is guaranteed by [`SparseMatrix`]) and the diagonal zero: a
+    /// negative weight is a [`GraphError::NegativeWeight`] and a stored
+    /// non-zero self-loop a [`GraphError::SelfLoop`], so neither can slip
+    /// into the row normalization of the transition matrices.
+    pub fn from_csr(adjacency: SparseMatrix, coords: Vec<(f32, f32)>) -> Result<Self, GraphError> {
         let (rows, cols) = adjacency.shape();
         if rows != cols || rows == 0 {
             return Err(GraphError::ShapeMismatch {
@@ -226,8 +230,20 @@ impl SparseNetwork {
                 rhs: vec![rows, rows],
             });
         }
-        if adjacency.as_sparse().values().iter().any(|w| *w < 0.0) {
-            return Err(GraphError::NonFinite("negative adjacency weight"));
+        let row_ptr = adjacency.row_ptr();
+        for row in 0..rows {
+            let (lo, hi) = (row_ptr[row], row_ptr[row + 1]);
+            for (&col, &w) in adjacency.col_idx()[lo..hi]
+                .iter()
+                .zip(&adjacency.values()[lo..hi])
+            {
+                if w < 0.0 {
+                    return Err(GraphError::NegativeWeight { row, col });
+                }
+                if col == row && w != 0.0 {
+                    return Err(GraphError::SelfLoop { node: row });
+                }
+            }
         }
         let coords = if coords.is_empty() {
             (0..rows).map(|i| (i as f32, 0.0)).collect()
@@ -260,7 +276,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let net = SparseNetwork::random_city(500, 5, 0.05, &mut rng);
         assert_eq!(net.num_nodes(), 500);
-        let row_ptr = net.adjacency().as_sparse().row_ptr();
+        let row_ptr = net.adjacency().row_ptr();
         for r in 0..500 {
             assert!(row_ptr[r + 1] - row_ptr[r] <= 5, "degree bound violated");
         }
@@ -306,12 +322,12 @@ mod tests {
             order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             let expect: std::collections::BTreeSet<usize> =
                 order.iter().take(4).map(|&(j, _)| j).collect();
-            let got: std::collections::BTreeSet<usize> =
-                net.adjacency().as_sparse().col_idx()[net.adjacency().as_sparse().row_ptr()[i]
-                    ..net.adjacency().as_sparse().row_ptr()[i + 1]]
-                    .iter()
-                    .copied()
-                    .collect();
+            let adj = net.adjacency();
+            let got: std::collections::BTreeSet<usize> = adj.col_idx()
+                [adj.row_ptr()[i]..adj.row_ptr()[i + 1]]
+                .iter()
+                .copied()
+                .collect();
             assert_eq!(got, expect, "node {i} picked the wrong neighbours");
         }
     }
@@ -340,13 +356,45 @@ mod tests {
 
     #[test]
     fn from_csr_validates() {
-        let rect = CsrMatrix::from_triplets(2, 3, &[(0, 1, 1.0)]).unwrap();
-        assert!(SparseNetwork::from_csr(rect, vec![]).is_err());
-        let neg = CsrMatrix::from_triplets(2, 2, &[(0, 1, -1.0)]).unwrap();
-        assert!(SparseNetwork::from_csr(neg, vec![]).is_err());
-        let ok = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 0.5)]).unwrap();
+        let rect = SparseMatrix::from_triplets(2, 3, &[(0, 1, 1.0)]).unwrap();
+        assert!(matches!(
+            SparseNetwork::from_csr(rect, vec![]),
+            Err(GraphError::ShapeMismatch { .. })
+        ));
+        // A finite negative weight is its own error, not a NaN/Inf report.
+        let neg = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, -0.5)]).unwrap();
+        let err = SparseNetwork::from_csr(neg, vec![]).unwrap_err();
+        assert_eq!(err, GraphError::NegativeWeight { row: 1, col: 0 });
+        assert!(!err.to_string().contains("non-finite"), "{err}");
+        // A caller-supplied self-loop violates the zero-diagonal precondition.
+        let looped = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 1, 0.5)]).unwrap();
+        assert_eq!(
+            SparseNetwork::from_csr(looped, vec![]).unwrap_err(),
+            GraphError::SelfLoop { node: 1 }
+        );
+        // An explicitly stored zero on the diagonal is still a zero diagonal.
+        let zero_diag =
+            SparseMatrix::from_triplets(2, 2, &[(0, 0, 0.0), (0, 1, 1.0), (1, 0, 0.5)]).unwrap();
+        assert!(SparseNetwork::from_csr(zero_diag, vec![]).is_ok());
+        let ok = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 0.5)]).unwrap();
         let net = SparseNetwork::from_csr(ok, vec![]).unwrap();
         assert_eq!(net.num_nodes(), 2);
         assert_eq!(net.coords().len(), 2);
+    }
+
+    #[test]
+    fn full_profile_adjacency_is_very_sparse() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let net = TrafficNetwork::random_geometric(207, 9, 0.05, &mut rng);
+        let s = SparseNetwork::from_network(&net);
+        assert!(
+            s.adjacency().sparsity() > 0.9,
+            "sparsity {}",
+            s.adjacency().sparsity()
+        );
+        // spmm against the dense path on the real structure.
+        let x = d2stgnn_tensor::Array::randn(&[207, 4], &mut rng);
+        let got = s.adjacency().matmul(&x);
+        assert_eq!(got.data(), net.adjacency().matmul(&x).data());
     }
 }

@@ -8,7 +8,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// Two shapes are incompatible for the attempted operation (e.g. a
-    /// sparse × dense product whose inner dimensions disagree).
+    /// non-square adjacency, or coordinates for the wrong node count).
     ShapeMismatch {
         /// Name of the operation.
         op: &'static str,
@@ -20,10 +20,20 @@ pub enum GraphError {
     /// A parameter that must be at least one (kernel size, node count) was
     /// zero.
     EmptyDimension(&'static str),
-    /// Non-finite (NaN/Inf) values where finite data is required — a
-    /// corrupted adjacency must fail loudly instead of poisoning every
-    /// diffusion step downstream.
-    NonFinite(&'static str),
+    /// A negative adjacency weight: transition matrices are normalized
+    /// road-network weights, which are non-negative by definition.
+    NegativeWeight {
+        /// Source node of the offending edge.
+        row: usize,
+        /// Target node of the offending edge.
+        col: usize,
+    },
+    /// A non-zero self-loop: the adjacency diagonal must be zero (Eq. 4
+    /// masks a node's own history out of its diffusion signal).
+    SelfLoop {
+        /// The node with the self-loop.
+        node: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -33,8 +43,14 @@ impl fmt::Display for GraphError {
                 write!(f, "{op}: incompatible shapes {lhs:?} and {rhs:?}")
             }
             GraphError::EmptyDimension(what) => write!(f, "{what} must be >= 1"),
-            GraphError::NonFinite(what) => {
-                write!(f, "{what} contains non-finite (NaN/Inf) values")
+            GraphError::NegativeWeight { row, col } => {
+                write!(f, "adjacency weight ({row}, {col}) is negative")
+            }
+            GraphError::SelfLoop { node } => {
+                write!(
+                    f,
+                    "adjacency has a self-loop at node {node} (diagonal must be zero)"
+                )
             }
         }
     }

@@ -12,9 +12,7 @@
 pub mod city;
 pub mod error;
 mod network;
-pub mod sparse;
 pub mod transition;
 
 pub use city::SparseNetwork;
 pub use network::TrafficNetwork;
-pub use sparse::CsrMatrix;

@@ -1,12 +1,13 @@
 //! Pooled compressed-sparse-row kernels and the sparse-matmul autograd op.
 //!
-//! City-scale road graphs (ROADMAP item 5: 10k–100k nodes) make the dense
-//! `[N, N]` transition matmul of the diffusion model an O(N²) wall. This
-//! module provides the sparse substrate the upper layers dispatch to when a
-//! transition matrix crosses the sparsity threshold: an `Arc`-backed CSR
-//! matrix whose sparse × dense product (`spmm`) runs on the same compute
-//! pool as the dense GEMM, plus a [`Tensor::spmm`] autograd op whose
-//! backward pass multiplies by the transposed CSR.
+//! City-scale road graphs (10k–100k nodes) make a dense `[N, N]`
+//! transition matmul an O(N²) wall, so every static road-network transition
+//! in the diffusion model runs on this module at any graph size: an
+//! `Arc`-backed CSR matrix whose sparse × dense product (`spmm`) runs on the
+//! same compute pool as the dense GEMM, plus a [`Tensor::spmm`] autograd op
+//! whose backward pass multiplies by the transposed CSR. Graph-level
+//! operations (row normalization, diagonal masking, transition powers) live
+//! here too; there is no second CSR type.
 //!
 //! **Determinism contract.** Chunk boundaries are a function of the problem
 //! size only ([`SPMM_ROW_CHUNK`] output rows per chunk — a fixed constant,
@@ -302,6 +303,39 @@ impl SparseMatrix {
         }
     }
 
+    /// Row-normalize (returns a new matrix with the same structure): each
+    /// row is divided by the sum of the **absolute values** of its entries,
+    /// so mixed-sign and all-negative rows are scaled too — dividing by the
+    /// signed sum would silently pass a row of negative weights through
+    /// unnormalized and corrupt the transition matrix downstream. Zero rows
+    /// stay zero. For the non-negative road adjacencies this is the classic
+    /// row-stochastic normalization, and it matches the dense
+    /// `transition::row_normalize` bit-for-bit: both sum each row's
+    /// magnitudes in column-ascending order, and the skipped zeros cannot
+    /// change a finite sum.
+    pub fn row_normalize(&self) -> SparseMatrix {
+        let mut values = self.values.as_ref().clone();
+        for r in 0..self.rows {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let sum: f32 = values[lo..hi].iter().map(|v| v.abs()).sum();
+            if sum > 0.0 {
+                for v in &mut values[lo..hi] {
+                    *v /= sum;
+                }
+            }
+        }
+        Self {
+            values: Arc::new(values),
+            ..self.clone()
+        }
+    }
+
+    /// Identity view, so code written against a wrapper that exposed its
+    /// inner CSR through `.as_sparse()` keeps compiling unchanged.
+    pub fn as_sparse(&self) -> &SparseMatrix {
+        self
+    }
+
     /// Sparse × sparse product (Gustavson row-merge), used for the masked
     /// transition powers `P^k`. Per output element the contributions
     /// accumulate with the inner index ascending — the same order as the
@@ -562,13 +596,22 @@ mod tests {
     #[test]
     fn spmm_shape_mismatch_is_typed() {
         let (_, sparse) = sparse_randn(4, 4, 1.0, 2);
-        let bad = Array::zeros(&[5, 3]);
-        assert!(matches!(
-            sparse.try_matmul(&bad),
-            Err(TensorError::ShapeMismatch { op: "spmm", .. })
-        ));
-        let bad_rank = Array::zeros(&[4]);
-        assert!(sparse.try_matmul(&bad_rank).is_err());
+        // Inner-dimension mismatch at rank 2 and 3, and an unsupported rank.
+        for bad in [&[5usize, 3][..], &[2, 5, 3][..], &[4][..]] {
+            assert!(
+                matches!(
+                    sparse.try_matmul(&Array::zeros(bad)),
+                    Err(TensorError::ShapeMismatch { op: "spmm", .. })
+                ),
+                "shape {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_triplets_rejects_out_of_range_positions() {
+        let _ = SparseMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]);
     }
 
     #[test]
@@ -611,6 +654,48 @@ mod tests {
         assert_eq!(m.get(1, 1), 0.0);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.nnz(), 3, "masking keeps the structure");
+    }
+
+    #[test]
+    fn from_dense_round_trips_and_prunes_below_threshold() {
+        let d =
+            Array::from_vec(&[3, 3], vec![0.0, 2.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 3.0]).unwrap();
+        let s = SparseMatrix::from_dense(&d, 0.0).unwrap();
+        assert_eq!(s.nnz(), 4);
+        assert_eq!(s.to_dense().data(), d.data());
+        assert!((s.sparsity() - 5.0 / 9.0).abs() < 1e-6);
+        // Only 2.0 and 3.0 survive a threshold of 1.0.
+        assert_eq!(SparseMatrix::from_dense(&d, 1.0).unwrap().nnz(), 2);
+    }
+
+    #[test]
+    fn row_normalize_scales_rows_to_unit_abs_sum() {
+        let s =
+            SparseMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 3.0), (1, 1, 2.0)]).unwrap();
+        let norm = s.row_normalize();
+        assert_eq!(norm.get(0, 0), 0.25);
+        assert_eq!(norm.get(0, 1), 0.75);
+        assert_eq!(norm.get(1, 1), 1.0);
+        assert_eq!(
+            norm.col_idx(),
+            s.col_idx(),
+            "normalizing keeps the structure"
+        );
+    }
+
+    #[test]
+    fn row_normalize_handles_mixed_sign_rows() {
+        // Row 0 sums to zero, row 1 is all-negative: dividing by the signed
+        // sum would pass both through unnormalized.
+        let d = Array::from_vec(&[3, 2], vec![2.0, -2.0, -1.0, -3.0, 0.0, 0.0]).unwrap();
+        let norm = SparseMatrix::from_dense(&d, 0.0).unwrap().row_normalize();
+        assert!((norm.get(0, 0) - 0.5).abs() < 1e-6);
+        assert!((norm.get(0, 1) + 0.5).abs() < 1e-6);
+        assert!((norm.get(1, 0) + 0.25).abs() < 1e-6);
+        assert!((norm.get(1, 1) + 0.75).abs() < 1e-6);
+        // Zero rows stay zero.
+        assert_eq!(norm.get(2, 0), 0.0);
+        assert_eq!(norm.nnz(), 4);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   (`core/src/training.rs`, `core/src/checkpoint.rs`).
 //! * `no-print` — no print-family macros outside the `obsv` console funnel.
 //! * `cast-in-loop` — no numeric `as` casts inside loop bodies of the two
-//!   kernel files `crates/tensor/src/ops.rs` and `crates/graph/src/sparse.rs`.
+//!   kernel files `crates/tensor/src/ops.rs` and `crates/tensor/src/sparse.rs`.
 //! * `result-error` — every `pub fn` returning `Result` must name an error
 //!   type declared in that crate's `src/error.rs`.
 //! * `serve-concurrency` — no `thread::sleep` / unbounded channels in the
@@ -34,7 +34,7 @@
 //!   sites on those paths are counted per function and ratcheted through the
 //!   committed `xlint_report.json` baseline ([`report`]).
 //! * `lock-order` — the static lock-acquisition graph must be acyclic.
-//! * `float-determinism` — no ungated FMA, hash containers, or unordered
+//! * `float-determinism` — no FMA, hash containers, or unordered
 //!   reductions in kernel float code.
 //! * `atomic-ordering` — every `Ordering::Relaxed` carries a `// relaxed:`
 //!   justification comment.
@@ -79,7 +79,7 @@ pub const RESULT_ERROR_CRATES: &[&str] =
 pub const SLEEP_FREE_CRATES: &[&str] = &["serve", "httpd"];
 
 /// Files whose loop bodies must stay free of numeric `as` casts.
-pub const KERNEL_FILES: &[&str] = &["crates/tensor/src/ops.rs", "crates/graph/src/sparse.rs"];
+pub const KERNEL_FILES: &[&str] = &["crates/tensor/src/ops.rs", "crates/tensor/src/sparse.rs"];
 
 /// Files on recoverable control paths where even `assert!` is banned in
 /// library code: a failed runtime check there must surface as a typed error

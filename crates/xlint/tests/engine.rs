@@ -104,7 +104,7 @@ fn seeded_lock_order_cycle_is_detected() {
 }
 
 #[test]
-fn seeded_unordered_reduction_and_ungated_fma_are_flagged() {
+fn seeded_unordered_reduction_and_every_fma_are_flagged() {
     let diags = deep_diags(&[(
         "crates/tensor/src/ops.rs",
         include_str!("fixtures/float_fast.rs"),
@@ -114,12 +114,12 @@ fn seeded_unordered_reduction_and_ungated_fma_are_flagged() {
         .iter()
         .filter(|d| d.rule == "float-determinism")
         .collect();
-    // Two HashMap-in-kernel-code sites, the unordered reduction, and the
-    // ungated mul_add — but not the D2_FAST_MATH-gated one.
-    assert_eq!(float.len(), 4, "{diags:?}");
+    // Two HashMap-in-kernel-code sites, the unordered reduction, and both
+    // mul_add sites — the flag-guarded one included.
+    assert_eq!(float.len(), 5, "{diags:?}");
     assert!(
-        float.iter().all(|d| d.line < 16),
-        "gated site flagged: {float:?}"
+        float.iter().any(|d| d.line == 18),
+        "flag-guarded mul_add not flagged: {float:?}"
     );
 }
 

@@ -1,6 +1,6 @@
 //! Float-determinism fixture for kernel code: an unordered reduction over a
-//! HashMap and an ungated `mul_add` must both be flagged; the
-//! `D2_FAST_MATH`-gated variant must not.
+//! HashMap and every `mul_add` must be flagged, including one behind a
+//! runtime flag (no switch sanctions fused rounding).
 
 use std::collections::HashMap;
 
@@ -14,7 +14,7 @@ pub fn fused(a: f32, b: f32, c: f32) -> f32 {
 }
 
 pub fn gated(a: f32, b: f32, c: f32) -> f32 {
-    if *crate::D2_FAST_MATH {
+    if *crate::FUSED {
         a.mul_add(b, c)
     } else {
         a * b + c
