@@ -364,15 +364,8 @@ fn main() {
         par_threshold: stats.par_threshold,
     };
     eprintln!(
-        "[tensor_kernels] host: cores={} simd={} | parent pool: threads={} \
-         pooled_tasks={} bufpool hits/misses/recycled={}/{}/{}",
-        cores,
-        config.simd_kernel,
-        stats.threads,
-        stats.pooled_tasks,
-        stats.bufpool_hits,
-        stats.bufpool_misses,
-        stats.bufpool_recycled,
+        "[tensor_kernels] host: cores={} simd={} | parent pool: threads={} pooled_tasks={}",
+        cores, config.simd_kernel, stats.threads, stats.pooled_tasks,
     );
     let config_json = serde_json::to_string(&config).expect("config serialize");
     let results_json = serde_json::to_string(&rows).expect("results serialize");

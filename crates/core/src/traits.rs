@@ -19,4 +19,11 @@ pub trait TrafficModel: Module {
 
     /// Forecast horizon the model produces.
     fn horizon(&self) -> usize;
+
+    /// Rows of the model's time-of-day table, when it indexes one: every
+    /// `tod` entry of a batch must then be below this. `None` means the
+    /// model accepts any time-of-day value.
+    fn steps_per_day(&self) -> Option<usize> {
+        None
+    }
 }

@@ -363,6 +363,14 @@ fn validate(request: &InferRequest, version: &ModelVersion) -> Result<(), ServeE
             "day-of-week out of range".to_string(),
         ));
     }
+    if let Some(spd) = version.steps_per_day() {
+        if request.tod.iter().any(|t| *t >= spd) {
+            return Err(ServeError::BadRequest(format!(
+                "time-of-day out of range: model {} has {spd} slots per day",
+                version.name()
+            )));
+        }
+    }
     Ok(())
 }
 

@@ -338,8 +338,12 @@ fn unknown_model_and_bad_shapes_are_rejected() {
     let data = dataset();
     let registry = Arc::new(ModelRegistry::new());
     register(&registry, &data, "d2stgnn", 7);
-    let server =
-        Server::start(Arc::clone(&registry), ServeConfig::default()).expect("start server");
+    // One worker: a request that killed it would hang every later one.
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Arc::clone(&registry), cfg).expect("start server");
 
     let err = server
         .submit(request_for(&data, Split::Test, 0, "nope"))
@@ -355,6 +359,17 @@ fn unknown_model_and_bad_shapes_are_rejected() {
     bad.tod.pop();
     let err = server.submit(bad).expect_err("short tod");
     assert!(matches!(err, ServeError::BadRequest(_)));
+
+    let mut bad = request_for(&data, Split::Test, 0, "d2stgnn");
+    bad.tod = vec![100_000; data.th()];
+    let err = server.submit(bad).expect_err("out-of-range tod");
+    assert!(matches!(err, ServeError::BadRequest(_)), "got {err}");
+    let forecast = server
+        .submit(request_for(&data, Split::Test, 0, "d2stgnn"))
+        .expect("valid request accepted")
+        .wait()
+        .expect("valid request answered");
+    assert!(!forecast.fallback);
     server.shutdown().expect("clean shutdown");
 }
 

@@ -2,9 +2,8 @@
 //! the autograd [`crate::Tensor`].
 //!
 //! Arrays are always contiguous. Broadcasting follows NumPy semantics.
-//! Element storage is an `Arc`-shared [`Buffer`] drawn from the crate's
-//! size-bucketed buffer pool, so `clone()` is O(1) (copy-on-write via
-//! `Arc::make_mut`) and dropped temporaries recycle their allocations.
+//! Element storage is an `Arc`-shared `Vec<f32>` from the system
+//! allocator, so `clone()` is O(1) (copy-on-write via `Arc::make_mut`).
 //! Hot-path kernels — `matmul` (tiled GEMM, see [`crate::gemm`]),
 //! same-shape binary ops, `map`-style unary ops, and axis reductions —
 //! dispatch to the persistent compute pool ([`crate::pool`]) above the
@@ -13,7 +12,6 @@
 
 use std::sync::Arc;
 
-use crate::buffers::{self, Buffer};
 use crate::error::TensorError;
 use crate::gemm;
 use crate::pool;
@@ -86,7 +84,7 @@ impl UnaryKind {
 #[derive(Clone, PartialEq)]
 pub struct Array {
     shape: Vec<usize>,
-    data: Arc<Buffer>,
+    data: Arc<Vec<f32>>,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -134,14 +132,6 @@ impl Array {
         debug_assert_eq!(numel(&shape), data.len());
         Self {
             shape,
-            data: Arc::new(Buffer::from_vec(data)),
-        }
-    }
-
-    fn from_buffer(shape: Vec<usize>, data: Buffer) -> Self {
-        debug_assert_eq!(numel(&shape), data.len());
-        Self {
-            shape,
             data: Arc::new(data),
         }
     }
@@ -159,7 +149,7 @@ impl Array {
 
     /// All-zeros array.
     pub fn zeros(shape: &[usize]) -> Self {
-        Self::from_buffer(shape.to_vec(), Buffer::zeroed(numel(shape)))
+        Self::from_parts(shape.to_vec(), vec![0.0; numel(shape)])
     }
 
     /// All-ones array.
@@ -169,10 +159,7 @@ impl Array {
 
     /// Array filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        let n = numel(shape);
-        let mut data = buffers::acquire_with_capacity(n);
-        data.resize(n, value);
-        Self::from_parts(shape.to_vec(), data)
+        Self::from_parts(shape.to_vec(), vec![value; numel(shape)])
     }
 
     /// Rank-0 scalar.
@@ -182,7 +169,7 @@ impl Array {
 
     /// Identity matrix of size `n`.
     pub fn eye(n: usize) -> Self {
-        let mut data = buffers::acquire_zeroed(n * n);
+        let mut data = vec![0.0; n * n];
         for i in 0..n {
             data[i * n + i] = 1.0;
         }
@@ -191,25 +178,19 @@ impl Array {
 
     /// `[0, 1, ..., n-1]` as a 1-D array.
     pub fn arange(n: usize) -> Self {
-        let mut data = buffers::acquire_with_capacity(n);
-        data.extend((0..n).map(|i| i as f32));
-        Self::from_parts(vec![n], data)
+        Self::from_parts(vec![n], (0..n).map(|i| i as f32).collect())
     }
 
     /// Standard-normal samples (Box–Muller via `rand`).
     pub fn randn<R: Rng>(shape: &[usize], rng: &mut R) -> Self {
         let dist = StandardNormal;
-        let n = numel(shape);
-        let mut data = buffers::acquire_with_capacity(n);
-        data.extend((0..n).map(|_| dist.sample(rng)));
+        let data = (0..numel(shape)).map(|_| dist.sample(rng)).collect();
         Self::from_parts(shape.to_vec(), data)
     }
 
     /// Uniform samples in `[lo, hi)`.
     pub fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
-        let n = numel(shape);
-        let mut data = buffers::acquire_with_capacity(n);
-        data.extend((0..n).map(|_| rng.gen_range(lo..hi)));
+        let data = (0..numel(shape)).map(|_| rng.gen_range(lo..hi)).collect();
         Self::from_parts(shape.to_vec(), data)
     }
 
@@ -246,7 +227,7 @@ impl Array {
     /// Consume the array, returning its flat buffer.
     pub fn into_data(self) -> Vec<f32> {
         match Arc::try_unwrap(self.data) {
-            Ok(buf) => buf.into_vec(),
+            Ok(data) => data,
             Err(shared) => shared.to_vec(),
         }
     }
@@ -308,7 +289,7 @@ impl Array {
         let permuted_strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
         // Iterate output row-major; gather from source via permuted strides.
         let n = numel(&new_shape);
-        let mut data = buffers::acquire_with_capacity(n);
+        let mut data = Vec::with_capacity(n);
         let mut coords = vec![0usize; new_shape.len()];
         for _ in 0..n {
             data.push(self.data[ravel(&coords, &permuted_strides)]);
@@ -348,7 +329,7 @@ impl Array {
         }
         let bstrides = broadcast_strides(&self.shape, target);
         let n = numel(target);
-        let mut data = buffers::acquire_with_capacity(n);
+        let mut data = Vec::with_capacity(n);
         let mut coords = vec![0usize; target.len()];
         for _ in 0..n {
             data.push(self.data[ravel(&coords, &bstrides)]);
@@ -369,9 +350,10 @@ impl Array {
 
     /// Apply `f` to every element, producing a new array.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        let mut data = buffers::acquire_with_capacity(self.numel());
-        data.extend(self.data.iter().map(|&v| f(v)));
-        Self::from_parts(self.shape.clone(), data)
+        Self::from_parts(
+            self.shape.clone(),
+            self.data.iter().map(|&v| f(v)).collect(),
+        )
     }
 
     /// Apply `f` in place.
@@ -397,7 +379,7 @@ impl Array {
                     }
                 }),
             );
-            Self::from_buffer(self.shape.clone(), data)
+            Self::from_parts(self.shape.clone(), data)
         } else {
             self.map(|v| kind.apply(v))
         }
@@ -406,21 +388,15 @@ impl Array {
     /// Broadcasting binary operation.
     pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         if self.shape == other.shape {
-            let mut data = buffers::acquire_with_capacity(self.numel());
-            data.extend(
-                self.data
-                    .iter()
-                    .zip(other.data.iter())
-                    .map(|(&a, &b)| f(a, b)),
-            );
-            return Self::from_parts(self.shape.clone(), data);
+            let data = self.data.iter().zip(other.data.iter());
+            return Self::from_parts(self.shape.clone(), data.map(|(&a, &b)| f(a, b)).collect());
         }
         let out_shape = broadcast_shapes(&self.shape, &other.shape)
             .unwrap_or_else(|e| crate::error::violation(format_args!("elementwise op: {e}")));
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
         let n = numel(&out_shape);
-        let mut data = buffers::acquire_with_capacity(n);
+        let mut data = Vec::with_capacity(n);
         let mut coords = vec![0usize; out_shape.len()];
         for _ in 0..n {
             data.push(f(
@@ -455,7 +431,7 @@ impl Array {
                         }
                     }),
                 );
-                return Self::from_buffer(self.shape.clone(), data);
+                return Self::from_parts(self.shape.clone(), data);
             }
         }
         self.zip(other, move |a, b| kind.apply(a, b))
@@ -562,7 +538,7 @@ impl Array {
                 }),
             )
         } else {
-            let mut data = Buffer::zeroed(out_len);
+            let mut data = vec![0.0; out_len];
             for o in 0..outer {
                 for m in 0..mid {
                     let base = (o * mid + m) * inner;
@@ -577,7 +553,7 @@ impl Array {
         if !keepdim {
             out_shape.remove(axis);
         }
-        Self::from_buffer(out_shape, data)
+        Self::from_parts(out_shape, data)
     }
 
     /// Mean along `axis`.
@@ -594,8 +570,7 @@ impl Array {
         let outer: usize = self.shape[..axis].iter().product();
         let mid = self.shape[axis];
         let inner: usize = self.shape[axis + 1..].iter().product();
-        let mut data = buffers::acquire_zeroed(outer * inner);
-        data.fill(f32::NEG_INFINITY);
+        let mut data = vec![f32::NEG_INFINITY; outer * inner];
         for o in 0..outer {
             for m in 0..mid {
                 let base = (o * mid + m) * inner;
@@ -715,7 +690,7 @@ impl Array {
             other.shape[0]
         );
         let n = other.shape[1];
-        let mut data = buffers::acquire_zeroed(m * n);
+        let mut data = vec![0.0; m * n];
         gemm::naive(&self.data, &other.data, &mut data, m, k, n);
         Self::from_parts(vec![m, n], data)
     }
@@ -731,7 +706,7 @@ impl Array {
         let packed = gemm::pack_b(&other.data, k, n);
         if pool::should_pool(m.saturating_mul(n).saturating_mul(k)) && m > gemm::ROW_CHUNK {
             let a = self.data.clone();
-            let packed = Arc::new(Buffer::from_vec(packed));
+            let packed = Arc::new(packed);
             let data = pool::run_chunked(
                 m * n,
                 gemm::ROW_CHUNK * n,
@@ -741,12 +716,11 @@ impl Array {
                     gemm::block(&a[i0 * k..(i0 + rows) * k], k, &packed, n, out);
                 }),
             );
-            Self::from_buffer(vec![m, n], data)
+            Self::from_parts(vec![m, n], data)
         } else {
-            let mut data = Buffer::zeroed(m * n);
+            let mut data = vec![0.0; m * n];
             gemm::block(&self.data, k, &packed, n, &mut data);
-            buffers::release(packed);
-            Self::from_buffer(vec![m, n], data)
+            Self::from_parts(vec![m, n], data)
         }
     }
 
@@ -776,7 +750,7 @@ impl Array {
         let packed = gemm::pack_b_all(&other.data, b, k, n);
         if pool::should_pool(flops) && b * m > gemm::ROW_CHUNK {
             let a = self.data.clone();
-            let packed = Arc::new(Buffer::from_vec(packed));
+            let packed = Arc::new(packed);
             let data = pool::run_chunked(
                 b * m * n,
                 gemm::ROW_CHUNK * n,
@@ -808,9 +782,9 @@ impl Array {
                     }
                 }),
             );
-            Self::from_buffer(shape, data)
+            Self::from_parts(shape, data)
         } else {
-            let mut data = Buffer::zeroed(b * m * n);
+            let mut data = vec![0.0; b * m * n];
             for bi in 0..b {
                 let a_block = if lhs_batched {
                     &self.data[bi * m * k..(bi + 1) * m * k]
@@ -825,8 +799,7 @@ impl Array {
                     &mut data[bi * m * n..(bi + 1) * m * n],
                 );
             }
-            buffers::release(packed);
-            Self::from_buffer(shape, data)
+            Self::from_parts(shape, data)
         }
     }
 
@@ -863,7 +836,7 @@ impl Array {
         out_shape[axis] = arrays.iter().map(|a| a.shape[axis]).sum();
         let outer: usize = out_shape[..axis].iter().product();
         let inner: usize = out_shape[axis + 1..].iter().product();
-        let mut data = buffers::acquire_with_capacity(numel(&out_shape));
+        let mut data = Vec::with_capacity(numel(&out_shape));
         for o in 0..outer {
             for a in arrays {
                 let mid = a.shape[axis];
@@ -904,7 +877,7 @@ impl Array {
         let inner: usize = self.shape[axis + 1..].iter().product();
         let mut out_shape = self.shape.clone();
         out_shape[axis] = end - start;
-        let mut data = buffers::acquire_with_capacity(numel(&out_shape));
+        let mut data = Vec::with_capacity(numel(&out_shape));
         for o in 0..outer {
             let base = (o * mid + start) * inner;
             data.extend_from_slice(&self.data[base..base + (end - start) * inner]);
@@ -948,7 +921,7 @@ impl Array {
         let inner: usize = self.shape[axis + 1..].iter().product();
         let mut out_shape = self.shape.clone();
         out_shape[axis] = indices.len();
-        let mut data = buffers::acquire_with_capacity(numel(&out_shape));
+        let mut data = Vec::with_capacity(numel(&out_shape));
         for o in 0..outer {
             for &idx in indices {
                 assert!(idx < mid, "index_select: index {idx} out of range {mid}");

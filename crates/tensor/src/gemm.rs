@@ -35,7 +35,7 @@ pub(crate) const ROW_CHUNK: usize = 16;
 /// (`panel[p * w + j]`), so the micro-kernel streams it contiguously.
 pub(crate) fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
     let n_panels = n.div_ceil(NR).max(1);
-    let mut packed = crate::buffers::acquire_with_capacity(n_panels * k * NR);
+    let mut packed = Vec::with_capacity(n_panels * k * NR);
     for jt in 0..n_panels {
         let j0 = jt * NR;
         let w = NR.min(n - j0);
@@ -53,7 +53,7 @@ pub(crate) fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// of re-packing per chunk.
 pub(crate) fn pack_b_all(b: &[f32], batches: usize, k: usize, n: usize) -> Vec<f32> {
     let n_panels = n.div_ceil(NR).max(1);
-    let mut packed = crate::buffers::acquire_with_capacity(batches * n_panels * k * NR);
+    let mut packed = Vec::with_capacity(batches * n_panels * k * NR);
     for bi in 0..batches {
         let page = &b[bi * k * n..(bi + 1) * k * n];
         for jt in 0..n_panels {

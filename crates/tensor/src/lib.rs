@@ -32,7 +32,6 @@
 #![deny(unsafe_code)]
 
 mod array;
-mod buffers;
 mod error;
 mod gemm;
 pub mod losses;

@@ -30,8 +30,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
-use crate::buffers::{self, Buffer};
-
 /// Default `D2_PAR_THRESHOLD`: scalar-op count of a 64×64×64 matmul.
 pub const DEFAULT_PAR_THRESHOLD: usize = 64 * 64 * 64;
 
@@ -65,11 +63,11 @@ impl Task {
         (s, (s + self.chunk).min(self.len))
     }
 
-    /// Run chunk `c` on a worker thread into pooled scratch storage.
+    /// Run chunk `c` on a worker thread into its own scratch vector.
     fn run_worker_chunk(&self, c: usize) {
         let (s, e) = self.chunk_bounds(c);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut buf = buffers::acquire_zeroed(e - s);
+            let mut buf = vec![0.0; e - s];
             (self.fill)(s, &mut buf);
             buf
         }));
@@ -206,12 +204,12 @@ fn workers() -> Option<&'static WorkerPool> {
 /// Fill a `len`-element output buffer in chunks of `chunk` elements
 /// (boundaries depend only on `len` and `chunk`), farming chunks out to the
 /// pool when available. The calling thread participates — it writes its
-/// chunks directly into the output, while worker chunks land in pooled
-/// scratch buffers and are stitched in afterwards.
-pub(crate) fn run_chunked(len: usize, chunk: usize, fill: Arc<FillFn>) -> Buffer {
+/// chunks directly into the output, while worker chunks land in scratch
+/// vectors and are stitched in afterwards.
+pub(crate) fn run_chunked(len: usize, chunk: usize, fill: Arc<FillFn>) -> Vec<f32> {
     let chunk = chunk.max(1);
     let n_chunks = len.div_ceil(chunk).max(1);
-    let mut out = Buffer::zeroed(len);
+    let mut out = vec![0.0; len];
     let pool = if serial_mode() || n_chunks == 1 {
         None
     } else {
@@ -277,7 +275,6 @@ pub(crate) fn run_chunked(len: usize, chunk: usize, fill: Arc<FillFn>) -> Buffer
         if let Some(buf) = st.results[c].take() {
             let (s, e) = task.chunk_bounds(c);
             out[s..e].copy_from_slice(&buf[..e - s]);
-            buffers::release(buf);
         }
     }
     out
@@ -294,20 +291,13 @@ pub struct PoolStats {
     pub pooled_tasks: u64,
     /// Chunks those kernels were split into.
     pub pooled_chunks: u64,
-    /// Buffer-pool acquires served from a free list.
-    pub bufpool_hits: u64,
-    /// Buffer-pool acquires that fell through to the allocator.
-    pub bufpool_misses: u64,
-    /// Buffers parked back on a free list on drop.
-    pub bufpool_recycled: u64,
     /// GEMM micro-kernel this process selected (`"scalar"`, `"avx2"`, ...);
     /// see [`crate::simd::kernel_name`].
     pub simd_kernel: &'static str,
 }
 
-/// Snapshot the pool and buffer-pool counters.
+/// Snapshot the pool counters.
 pub fn stats() -> PoolStats {
-    let (hits, misses, recycled) = buffers::counters();
     PoolStats {
         threads: threads(),
         par_threshold: par_threshold(),
@@ -315,9 +305,6 @@ pub fn stats() -> PoolStats {
         // relaxed: point-in-time counter reads; tearing across them only blurs one report
         pooled_tasks: TASKS.load(Ordering::Relaxed),
         pooled_chunks: POOLED_CHUNKS.load(Ordering::Relaxed),
-        bufpool_hits: hits,
-        bufpool_misses: misses,
-        bufpool_recycled: recycled,
     }
 }
 

@@ -430,7 +430,7 @@ impl SparseMatrix {
                 }),
             );
             Ok(require(
-                Array::from_vec(&out_shape, data.into_vec()),
+                Array::from_vec(&out_shape, data),
                 "spmm output shape",
             ))
         } else {

@@ -17,6 +17,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> per-crate suites in their default build"
+cargo test -q -p d2stgnn-graph -p d2stgnn-data -p d2stgnn-baselines -p d2stgnn-bench \
+    -p d2stgnn-tensor -p d2stgnn-core -p d2stgnn-serve
+
 echo "==> xlint (workspace static analysis, ratcheted against xlint_report.json)"
 cargo test -q -p xlint
 mkdir -p target/experiments
